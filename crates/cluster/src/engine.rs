@@ -988,16 +988,17 @@ fn trace_row(
 ) -> TraceRow {
     let window_start = SimTime::ZERO + cfg.control_period.mul_f64((interval - 1) as f64);
     let dt = t.saturating_since(window_start).as_secs_f64().max(1e-12);
-    let gpu_power_w: f64 = nodes
+    // Integrate each node's two meters once; `g + c` is exactly what
+    // `Platform::total_energy_j` returns, and both sums keep node order.
+    let energy_j: Vec<(f64, f64)> = nodes
         .iter()
-        .map(|n| n.platform().gpu_energy_j(window_start, t))
-        .sum::<f64>()
-        / dt;
-    let total_power_w: f64 = nodes
-        .iter()
-        .map(|n| n.platform().total_energy_j(window_start, t))
-        .sum::<f64>()
-        / dt;
+        .map(|n| {
+            let g = n.platform().gpu_energy_j(window_start, t);
+            (g, g + n.platform().cpu_energy_j(window_start, t))
+        })
+        .collect();
+    let gpu_power_w: f64 = energy_j.iter().map(|&(g, _)| g).sum::<f64>() / dt;
+    let total_power_w: f64 = energy_j.iter().map(|&(_, total)| total).sum::<f64>() / dt;
     TraceRow {
         interval,
         time_s: t.saturating_since(SimTime::ZERO).as_secs_f64(),

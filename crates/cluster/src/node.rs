@@ -19,13 +19,14 @@ use crate::lifecycle::NodeState;
 use crate::power::{mw, MilliWatts, NodeDemand};
 use crate::profile::ServiceProfile;
 use crate::telemetry::NameTable;
-use greengpu::{GreenGpuConfig, GreenGpuController, PairModel, PolicySpec};
+use greengpu::{GreenGpuConfig, GreenGpuController, LearnerCheckpoint, PairModel, PolicySpec};
 use greengpu_hw::{
     calib, BlackoutSensors, CleanSensors, CpuSpec, DirectActuator, FaultPlan, FaultyActuator, FaultySensor,
     FreqActuator, GpuSpec, Platform, SensorSource,
 };
 use greengpu_runtime::Controller as _;
 use greengpu_sim::{Fnv64, SimDuration, SimTime, SplitMix64};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 /// Static description of one node.
@@ -146,6 +147,19 @@ pub struct RecoveryRecord {
     pub intervals: u64,
 }
 
+/// A node's stored learner checkpoint.
+enum Checkpoint {
+    /// Taken from the live controller: restored by typed copy, and
+    /// rendered to the versioned JSON only if someone reads it.
+    Typed {
+        state: LearnerCheckpoint,
+        json: OnceCell<String>,
+    },
+    /// Loaded verbatim from outside: restored through the strict JSON
+    /// parser, so a corrupt string still cold-starts the node.
+    Json(String),
+}
+
 /// One live node.
 pub struct Node {
     id: usize,
@@ -175,7 +189,7 @@ pub struct Node {
     probation_left: u64,
     restart_s: f64,
     probation_intervals: u64,
-    checkpoint: Option<String>,
+    checkpoint: Option<Checkpoint>,
     thermal_until: SimTime,
     thermal_active: bool,
     /// The cap this node was *parked* under by the event-driven engine,
@@ -183,14 +197,6 @@ pub struct Node {
     /// (see [`Node::park_fingerprint`]) and subsequent ticks take the
     /// quiescent fast path until anything observable changes.
     parked_cap: Option<MilliWatts>,
-    /// Whether the stored checkpoint was taken while this node was parked
-    /// *and* the node has stayed parked since. While that holds the
-    /// controller's learner state is bit-frozen (the quiescent path only
-    /// re-reads constant-zero idle utilizations; the deep-skip path runs
-    /// nothing at all), so [`Node::take_checkpoint`] can skip the JSON
-    /// re-serialization — the stored bytes are already identical. Cleared
-    /// on every `parked_cap` transition.
-    parked_checkpoint_fresh: bool,
     /// Pre-crash desired pair, pending recovery measurement.
     pending_target: Option<(usize, usize)>,
     /// In-flight recovery: (target pair, warm flag, ticks so far).
@@ -312,7 +318,6 @@ impl Node {
             thermal_until: SimTime::ZERO,
             thermal_active: false,
             parked_cap: None,
-            parked_checkpoint_fresh: false,
             pending_target: None,
             recovering: None,
             recoveries: Vec::new(),
@@ -430,29 +435,30 @@ impl Node {
         }
     }
 
-    /// Snapshots the controller's learner state as the node's current
-    /// checkpoint (the fleet calls this every checkpoint period).
+    /// Copies the controller's learner state, typed, as the node's
+    /// current checkpoint (the fleet calls this every checkpoint period).
     pub fn take_checkpoint(&mut self) {
-        // A continuously-parked node's learner state is bit-frozen, so
-        // the checkpoint taken last period is still byte-identical —
-        // skip the (comparatively expensive) JSON re-serialization.
-        if self.parked_cap.is_some() && self.parked_checkpoint_fresh {
-            return;
-        }
-        self.checkpoint = Some(self.ctl.snapshot());
-        self.parked_checkpoint_fresh = self.parked_cap.is_some();
+        self.checkpoint = Some(Checkpoint::Typed {
+            state: self.ctl.learner_checkpoint(),
+            json: OnceCell::new(),
+        });
     }
 
     /// Replaces the stored checkpoint verbatim — the corruption-injection
     /// seam for tests; a garbage string is rejected at restore time and
     /// the restart falls back to a cold start (counted).
     pub fn load_checkpoint(&mut self, checkpoint: String) {
-        self.checkpoint = Some(checkpoint);
+        self.checkpoint = Some(Checkpoint::Json(checkpoint));
     }
 
-    /// The stored checkpoint, if any.
+    /// The stored checkpoint as its versioned JSON string, if any. A
+    /// checkpoint taken in memory is rendered on the first call and
+    /// cached.
     pub fn checkpoint_data(&self) -> Option<&str> {
-        self.checkpoint.as_deref()
+        match self.checkpoint.as_ref()? {
+            Checkpoint::Typed { state, json } => Some(json.get_or_init(|| state.snapshot())),
+            Checkpoint::Json(s) => Some(s),
+        }
     }
 
     /// Crashes the node at `now`: the in-flight job (returned for retry)
@@ -466,7 +472,6 @@ impl Node {
         }
         self.crashes += 1;
         self.parked_cap = None;
-        self.parked_checkpoint_fresh = false;
         // The recovery target is what the learner preferred just before
         // dying — reaching it again is the warm-vs-cold regret metric.
         self.pending_target = Some(self.ctl.desired_pair());
@@ -500,7 +505,6 @@ impl Node {
     pub fn thermal_emergency(&mut self, now: SimTime, duration_s: f64) {
         self.thermal_events += 1;
         self.parked_cap = None;
-        self.parked_checkpoint_fresh = false;
         self.thermal_until = now + SimDuration::from_secs_f64(duration_s);
         self.thermal_active = true;
     }
@@ -553,19 +557,22 @@ impl Node {
             self.cold_restarts += 1;
             return false;
         };
-        let warm = match &self.checkpoint {
-            Some(cp) => match ctl.restore(cp) {
-                Ok(()) => {
-                    self.warm_restarts += 1;
-                    true
-                }
-                Err(_) => {
-                    self.restore_failures += 1;
-                    self.checkpoint = None;
-                    self.cold_restarts += 1;
-                    false
-                }
-            },
+        let restored = match &self.checkpoint {
+            Some(Checkpoint::Typed { state, .. }) => Some(ctl.load_learner_checkpoint(state)),
+            Some(Checkpoint::Json(s)) => Some(ctl.restore(s)),
+            None => None,
+        };
+        let warm = match restored {
+            Some(Ok(())) => {
+                self.warm_restarts += 1;
+                true
+            }
+            Some(Err(_)) => {
+                self.restore_failures += 1;
+                self.checkpoint = None;
+                self.cold_restarts += 1;
+                false
+            }
             None => {
                 self.cold_restarts += 1;
                 false
@@ -763,7 +770,6 @@ impl Node {
             self.ctl.on_dvfs_tick_quiescent(&mut self.platform, now);
         }
         self.parked_cap = None;
-        self.parked_checkpoint_fresh = false;
         // Resolve the interned profile id once; `advance` and
         // `refresh_activity` index by it from here on.
         let profile = self.profile_names.get(&job.workload).unwrap_or(u32::MAX);
@@ -934,7 +940,6 @@ impl Node {
                 // `recovering` is None while parked (park_fingerprint
                 // requires it), so no recovery bookkeeping is due.
                 self.parked_cap = None;
-                self.parked_checkpoint_fresh = false;
                 self.refresh_activity(now);
                 let over = (self.enforced_pair_power_w() - self.cap_w).max(0.0);
                 if over > 1e-9 {
@@ -943,13 +948,11 @@ impl Node {
                 return over;
             }
             self.parked_cap = None;
-            self.parked_checkpoint_fresh = false;
         }
         let before = self.park_fingerprint();
         let over = self.control_tick(now, cap);
         if before.is_some() && over <= 0.0 && before == self.park_fingerprint() {
             self.parked_cap = Some(cap);
-            self.parked_checkpoint_fresh = false;
         }
         over
     }

@@ -2,12 +2,17 @@
 //! learner state bit-for-bit for every checkpointable layer — WMA weight
 //! tables, bandit statistics, the Tier-1 division ratio, and the full
 //! controller JSON — and corrupted or truncated checkpoints are rejected
-//! without mutating the target.
+//! without mutating the target. A node's in-memory (typed) checkpoint
+//! restores to exactly the state its exported JSON restores to, for
+//! every policy family.
 
 use greengpu::{
-    DivisionController, DivisionParams, Exp3Params, Exp3Policy, FreqPolicy, GreenGpuConfig, GreenGpuController,
-    PolicySpec, UcbParams, UcbPolicy, WmaParams, WmaScaler, CHECKPOINT_VERSION,
+    DeadlineParams, DivisionController, DivisionParams, Exp3Params, Exp3Policy, FreqPolicy, GreenGpuConfig,
+    GreenGpuController, PhaseDetectorParams, PolicySpec, UcbParams, UcbPolicy, WmaParams, WmaScaler,
+    CHECKPOINT_VERSION,
 };
+use greengpu_cluster::{JobSpec, Node, NodeConfig, NodeState};
+use greengpu_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 const N_CORE: usize = 6;
@@ -23,6 +28,123 @@ fn wma_weights_bits(s: &WmaScaler) -> Vec<u64> {
         }
     }
     bits
+}
+
+/// One spec per policy family the node recipe can build.
+fn policy_families() -> Vec<PolicySpec> {
+    vec![
+        PolicySpec::Wma(WmaParams::default()),
+        PolicySpec::Exp3(Exp3Params::default()),
+        PolicySpec::Ucb(UcbParams::default()),
+        PolicySpec::Deadline(DeadlineParams::default()),
+        PolicySpec::ContextualExp3 {
+            inner: Exp3Params::default(),
+            detector: PhaseDetectorParams::default(),
+            levels: None,
+        },
+        PolicySpec::ContextualUcb {
+            inner: UcbParams::default(),
+            detector: PhaseDetectorParams::default(),
+            levels: None,
+        },
+    ]
+}
+
+/// A paper-testbed node running `spec`, with a one-second restart and
+/// one probation interval.
+fn family_node(spec: &PolicySpec) -> Node {
+    let cfg = NodeConfig {
+        freq_policy: spec.clone(),
+        ..NodeConfig::default_node()
+    };
+    let mut node = Node::new(0, &cfg, &["hotspot".to_string(), "kmeans".to_string()], 1);
+    node.set_lifecycle(1.0, 1);
+    node
+}
+
+/// Serves one kmeans job for `ticks` one-second control intervals under
+/// a cap of `cap_frac` of the card's peak power; returns the end time.
+fn warm_up(node: &mut Node, ticks: u64, cap_frac: f64) -> SimTime {
+    let cap = (cap_frac * node.platform().gpu().spec().peak_power_w() * 1000.0) as u64;
+    node.dispatch(
+        JobSpec {
+            id: 0,
+            workload: "kmeans".to_string(),
+            arrival: SimTime::ZERO,
+            size: 50.0,
+            deadline: None,
+            tenant: 0,
+        },
+        SimTime::ZERO,
+    );
+    let mut t = SimTime::ZERO;
+    for k in 1..=ticks {
+        let next = SimTime::from_secs(k);
+        node.advance(t, next);
+        node.control_tick(next, cap);
+        t = next;
+    }
+    t
+}
+
+/// Crashes the node at `t` and runs its lifecycle until the restart
+/// (and with it the checkpoint restore) has completed.
+fn crash_and_restart(node: &mut Node, t: SimTime) {
+    node.crash(t, 1.0);
+    let mut now = t;
+    while node.state() != NodeState::Probation {
+        now += SimDuration::from_secs(1);
+        node.lifecycle_tick(now);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// For every policy family, a restart from the node's typed
+    /// checkpoint and a restart from the same checkpoint exported to
+    /// JSON and loaded back reach the same controller state, and that
+    /// state serializes to exactly the exported checkpoint.
+    #[test]
+    fn typed_and_json_restores_agree_for_every_policy_family(ticks in 1u64..40, cap_frac in 0.4f64..1.0) {
+        for spec in policy_families() {
+            let mut typed = family_node(&spec);
+            let mut json = family_node(&spec);
+            let t = warm_up(&mut typed, ticks, cap_frac);
+            warm_up(&mut json, ticks, cap_frac);
+            let live = typed.controller().snapshot();
+            typed.take_checkpoint();
+            json.take_checkpoint();
+            let exported = json.checkpoint_data().expect("checkpoint taken").to_string();
+            prop_assert_eq!(&exported, &live, "{} export differs from the live snapshot", spec.kind());
+            json.load_checkpoint(exported.clone());
+
+            crash_and_restart(&mut typed, t);
+            crash_and_restart(&mut json, t);
+            prop_assert_eq!((typed.warm_restarts(), json.warm_restarts()), (1, 1), "{}", spec.kind());
+            prop_assert_eq!(typed.controller().snapshot(), json.controller().snapshot(), "{}", spec.kind());
+            prop_assert_eq!(typed.controller().snapshot(), exported, "{}", spec.kind());
+        }
+    }
+
+    /// A truncated checkpoint loaded through the corruption seam still
+    /// goes through the strict JSON restore: the restart cold-starts,
+    /// counts a restore failure, and discards the checkpoint.
+    #[test]
+    fn truncated_loaded_checkpoint_cold_starts_and_counts_a_failure(cut_frac in 0.01f64..0.99) {
+        for spec in policy_families() {
+            let mut node = family_node(&spec);
+            let t = warm_up(&mut node, 5, 0.8);
+            node.take_checkpoint();
+            let cp = node.checkpoint_data().expect("checkpoint taken").to_string();
+            let cut = ((cp.len() as f64 * cut_frac) as usize).clamp(1, cp.len() - 1);
+            node.load_checkpoint(cp[..cut].to_string());
+            crash_and_restart(&mut node, t);
+            prop_assert_eq!(node.restore_failures(), 1, "{}", spec.kind());
+            prop_assert_eq!((node.warm_restarts(), node.cold_restarts()), (0, 1), "{}", spec.kind());
+            prop_assert!(node.checkpoint_data().is_none(), "{}: garbage checkpoint is discarded", spec.kind());
+        }
+    }
 }
 
 proptest! {

@@ -7,14 +7,14 @@
 //! be ≳ 40× longer so the DVFS loop settles inside each division interval
 //! and the tiers do not destructively interact.
 
-use crate::division::{DivisionController, DivisionParams, ModelBasedDivision};
+use crate::division::{DivisionController, DivisionParams, DivisionState, ModelBasedDivision};
 use crate::governors::CpuGovernor;
 use crate::policy::WmaPolicy;
 use crate::wma::{WmaParams, WmaScaler};
 use greengpu_hw::{
     CleanSensors, DirectActuator, FaultPlan, FaultyActuator, FaultySensor, FreqActuator, Platform, SensorSource,
 };
-use greengpu_policy::{FreqPolicy, PolicyTelemetry};
+use greengpu_policy::{FreqPolicy, LearnerState, PolicyTelemetry};
 use greengpu_runtime::{Controller, IterationInfo};
 use greengpu_sim::{SimDuration, SimTime};
 
@@ -23,6 +23,35 @@ use greengpu_sim::{SimDuration, SimTime};
 /// Version 2: the contextual policies' nested detector/inner snapshots
 /// joined the policy-state schema.
 pub const CHECKPOINT_VERSION: u64 = 2;
+
+/// A controller's learner state held typed in memory — the policy's warm
+/// state and the step-wise division state, telemetry excluded. The
+/// versioned JSON wire form is rendered only on export
+/// ([`LearnerCheckpoint::snapshot`]); restores from outside go through
+/// the strict [`GreenGpuController::restore`].
+pub struct LearnerCheckpoint {
+    policy: String,
+    state: Box<dyn LearnerState>,
+    division: Option<DivisionState>,
+}
+
+impl LearnerCheckpoint {
+    /// The versioned JSON checkpoint string: byte-identical to what
+    /// [`GreenGpuController::snapshot`] returned when this was captured.
+    pub fn snapshot(&self) -> String {
+        use greengpu_sim::JsonValue;
+        JsonValue::Obj(vec![
+            ("version".to_string(), JsonValue::u64(CHECKPOINT_VERSION)),
+            ("policy".to_string(), JsonValue::str(&self.policy)),
+            ("state".to_string(), self.state.snapshot()),
+            (
+                "division".to_string(),
+                self.division.map_or(JsonValue::Null, |d| d.snapshot()),
+            ),
+        ])
+        .to_string()
+    }
+}
 
 /// Which division algorithm tier 1 runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -361,20 +390,45 @@ impl GreenGpuController {
     /// telemetry are *not* checkpointed: a restarted node gets fresh
     /// providers and fresh counters, only the learned knowledge survives.
     pub fn snapshot(&self) -> String {
-        use greengpu_sim::JsonValue;
-        let division = match &self.division {
-            DivisionImpl::Stepwise(c) => c.snapshot(),
-            // The model-based jump recalibrates from its first iteration;
-            // there is no warm state worth carrying across a restart.
-            DivisionImpl::ModelBased(_) => JsonValue::Null,
-        };
-        JsonValue::Obj(vec![
-            ("version".to_string(), JsonValue::u64(CHECKPOINT_VERSION)),
-            ("policy".to_string(), JsonValue::str(self.policy.name())),
-            ("state".to_string(), self.policy.snapshot()),
-            ("division".to_string(), division),
-        ])
-        .to_string()
+        self.learner_checkpoint().snapshot()
+    }
+
+    /// A typed, in-memory copy of the state [`Self::snapshot`]
+    /// serializes, for checkpoints that stay inside the process: taking
+    /// one copies the learner's tables instead of rendering JSON.
+    pub fn learner_checkpoint(&self) -> LearnerCheckpoint {
+        LearnerCheckpoint {
+            policy: self.policy.name().to_string(),
+            state: self.policy.learner(),
+            division: match &self.division {
+                DivisionImpl::Stepwise(c) => Some(c.state()),
+                // The model-based jump recalibrates from its first
+                // iteration; there is no warm state worth carrying
+                // across a restart.
+                DivisionImpl::ModelBased(_) => None,
+            },
+        }
+    }
+
+    /// Restores a checkpoint captured by [`Self::learner_checkpoint`] on
+    /// a controller built from the same recipe. A checkpoint for another
+    /// policy or division algorithm is rejected by name.
+    pub fn load_learner_checkpoint(&mut self, checkpoint: &LearnerCheckpoint) -> Result<(), String> {
+        if checkpoint.policy != self.policy.name() {
+            return Err(format!(
+                "checkpoint is for policy {:?}, controller runs {:?}",
+                checkpoint.policy,
+                self.policy.name()
+            ));
+        }
+        if matches!(self.division, DivisionImpl::Stepwise(_)) != checkpoint.division.is_some() {
+            return Err("checkpoint division state does not match the division algorithm".to_string());
+        }
+        self.policy.load_learner(checkpoint.state.as_ref())?;
+        if let (DivisionImpl::Stepwise(c), Some(state)) = (&mut self.division, &checkpoint.division) {
+            c.set_state(state);
+        }
+        Ok(())
     }
 
     /// Restores a checkpoint produced by [`GreenGpuController::snapshot`].
@@ -548,7 +602,7 @@ impl GreenGpuController {
     fn decide_actuate_gpu(&mut self, platform: &mut Platform, now: SimTime, u_core: f64, u_mem: f64) {
         let (core_lvl, mem_lvl) = match self.power_cap_w {
             Some(cap) => {
-                let spec = platform.gpu().spec().clone();
+                let spec = platform.gpu().spec();
                 let n_core = spec.core_levels_mhz.len();
                 let n_mem = spec.mem_levels_mhz.len();
                 let feasible = |i: usize, j: usize| spec.power_at_levels_w(i, j, 1.0, 1.0) <= cap;

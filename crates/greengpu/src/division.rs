@@ -69,6 +69,33 @@ pub struct DivisionController {
     tg_rate: Option<f64>,
 }
 
+/// The Tier-1 warm state of a [`DivisionController`], held typed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DivisionState {
+    k: i64,
+    held: u64,
+    moves: u64,
+    tc_rate: Option<f64>,
+    tg_rate: Option<f64>,
+}
+
+impl DivisionState {
+    /// The JSON wire form: the grid position `k` (the division ratio is
+    /// `k · step`), the hold/move counters, and the last observed
+    /// per-share rates the `r = 0` extrapolation needs.
+    pub(crate) fn snapshot(&self) -> greengpu_sim::JsonValue {
+        use greengpu_sim::JsonValue;
+        let rate = |r: Option<f64>| r.map_or(JsonValue::Null, JsonValue::f64);
+        JsonValue::Obj(vec![
+            ("k".to_string(), JsonValue::i64(self.k)),
+            ("held".to_string(), JsonValue::u64(self.held)),
+            ("moves".to_string(), JsonValue::u64(self.moves)),
+            ("tc_rate".to_string(), rate(self.tc_rate)),
+            ("tg_rate".to_string(), rate(self.tg_rate)),
+        ])
+    }
+}
+
 /// When a predicted flip would hold the ratio at a point whose slower side
 /// exceeds the candidate's predicted slower side by this factor, the hold
 /// is overridden — parking at a grossly imbalanced division (e.g. 5 % CPU
@@ -117,15 +144,29 @@ impl DivisionController {
     /// division ratio is `k · step`), the hold/move counters, and the
     /// last observed per-share rates the `r = 0` extrapolation needs.
     pub fn snapshot(&self) -> greengpu_sim::JsonValue {
-        use greengpu_sim::JsonValue;
-        let rate = |r: Option<f64>| r.map_or(JsonValue::Null, JsonValue::f64);
-        JsonValue::Obj(vec![
-            ("k".to_string(), JsonValue::i64(self.k)),
-            ("held".to_string(), JsonValue::u64(self.held)),
-            ("moves".to_string(), JsonValue::u64(self.moves)),
-            ("tc_rate".to_string(), rate(self.tc_rate)),
-            ("tg_rate".to_string(), rate(self.tg_rate)),
-        ])
+        self.state().snapshot()
+    }
+
+    /// A typed copy of the state [`DivisionController::snapshot`]
+    /// serializes.
+    pub(crate) fn state(&self) -> DivisionState {
+        DivisionState {
+            k: self.k,
+            held: self.held,
+            moves: self.moves,
+            tc_rate: self.tc_rate,
+            tg_rate: self.tg_rate,
+        }
+    }
+
+    /// Restores a state captured by [`DivisionController::state`] on a
+    /// controller with the same parameters.
+    pub(crate) fn set_state(&mut self, state: &DivisionState) {
+        self.k = state.k;
+        self.held = state.held;
+        self.moves = state.moves;
+        self.tc_rate = state.tc_rate;
+        self.tg_rate = state.tg_rate;
     }
 
     /// Restores state captured by [`DivisionController::snapshot`].

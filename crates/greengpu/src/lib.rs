@@ -52,7 +52,8 @@ pub mod wma;
 
 pub use baselines::{run_greengpu_faulted, run_with_policy, FaultedOutcome};
 pub use coordinator::{
-    DivisionAlgo, GovernorKind, GreenGpuConfig, GreenGpuController, RobustnessParams, CHECKPOINT_VERSION,
+    DivisionAlgo, GovernorKind, GreenGpuConfig, GreenGpuController, LearnerCheckpoint, RobustnessParams,
+    CHECKPOINT_VERSION,
 };
 pub use division::{DivisionController, DivisionParams, ModelBasedDivision};
 pub use governors::CpuGovernor;
@@ -60,7 +61,7 @@ pub use ondemand::OndemandGovernor;
 pub use policy::{pair_model_for, PolicySpec, WmaPolicy};
 // Re-export the policy crate's surface so consumers need only `greengpu`.
 pub use greengpu_policy::{
-    Contextual, DeadlineParams, DeadlinePolicy, Exp3Params, Exp3Policy, FreqPolicy, PairModel, PhaseDetectorParams,
-    PolicyTelemetry, SwitchingParams, UcbParams, UcbPolicy,
+    Contextual, DeadlineParams, DeadlinePolicy, Exp3Params, Exp3Policy, FreqPolicy, LearnerState, PairModel,
+    PhaseDetectorParams, PolicyTelemetry, SwitchingParams, UcbParams, UcbPolicy,
 };
 pub use wma::{WmaParams, WmaScaler};

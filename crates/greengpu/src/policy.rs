@@ -11,12 +11,12 @@
 //! [`FreqPolicy`] carries, so WMA appears in the same head-to-head
 //! tables as the bandits and the deadline selector.
 
-use crate::wma::{WmaParams, WmaScaler};
+use crate::wma::{WmaParams, WmaScaler, WmaState};
 use greengpu_hw::GpuSpec;
 use greengpu_policy::telemetry::DecisionTracker;
 use greengpu_policy::{
-    Contextual, DeadlineParams, DeadlinePolicy, Exp3Params, Exp3Policy, FreqPolicy, LossModel, LossParams, PairModel,
-    PhaseDetectorParams, PolicyTelemetry, UcbParams, UcbPolicy,
+    Contextual, DeadlineParams, DeadlinePolicy, Exp3Params, Exp3Policy, FreqPolicy, LearnerState, LossModel,
+    LossParams, PairModel, PhaseDetectorParams, PolicyTelemetry, UcbParams, UcbPolicy,
 };
 use greengpu_sim::SplitMix64;
 use greengpu_workloads::model::phase_gpu_timing;
@@ -93,12 +93,16 @@ impl FreqPolicy for WmaPolicy {
         self.tracker.reset();
     }
 
-    fn snapshot(&self) -> greengpu_sim::JsonValue {
-        self.scaler.snapshot()
-    }
-
     fn restore(&mut self, state: &greengpu_sim::JsonValue) -> Result<(), String> {
         self.scaler.restore(state)
+    }
+
+    fn learner(&self) -> Box<dyn LearnerState> {
+        Box::new(self.scaler.state())
+    }
+
+    fn load_learner(&mut self, state: &dyn LearnerState) -> Result<(), String> {
+        self.scaler.set_state(state.downcast::<WmaState>()?)
     }
 
     fn decision_fingerprint(&self) -> Option<u64> {

@@ -311,15 +311,33 @@ impl WmaScaler {
     /// table plus the interval counters. The `umean` maps are derived
     /// from the grid shape at construction and are not stored.
     pub fn snapshot(&self) -> greengpu_sim::JsonValue {
-        use greengpu_sim::JsonValue;
-        JsonValue::Obj(vec![
-            ("weights".to_string(), JsonValue::f64_array(&self.weights)),
-            ("intervals".to_string(), JsonValue::u64(self.intervals)),
-            (
-                "empty_mask_fallbacks".to_string(),
-                JsonValue::u64(self.empty_mask_fallbacks),
-            ),
-        ])
+        use greengpu_policy::LearnerState;
+        self.state().snapshot()
+    }
+
+    /// A typed copy of the state [`WmaScaler::snapshot`] serializes.
+    pub(crate) fn state(&self) -> WmaState {
+        WmaState {
+            weights: self.weights.clone(),
+            intervals: self.intervals,
+            empty_mask_fallbacks: self.empty_mask_fallbacks,
+        }
+    }
+
+    /// Restores a state captured by [`WmaScaler::state`] on a scaler of
+    /// the same grid; a state of another grid is rejected unchanged.
+    pub(crate) fn set_state(&mut self, state: &WmaState) -> Result<(), String> {
+        if state.weights.len() != self.weights.len() {
+            return Err(format!(
+                "learner state has {} weights, scaler has {}",
+                state.weights.len(),
+                self.weights.len()
+            ));
+        }
+        self.weights.clone_from(&state.weights);
+        self.intervals = state.intervals;
+        self.empty_mask_fallbacks = state.empty_mask_fallbacks;
+        Ok(())
     }
 
     /// Restores state captured by [`WmaScaler::snapshot`]. Validates the
@@ -337,6 +355,33 @@ impl WmaScaler {
         self.intervals = intervals;
         self.empty_mask_fallbacks = fallbacks;
         Ok(())
+    }
+}
+
+/// The warm state of a [`WmaScaler`], held typed: the weight table plus
+/// the interval counters (the `umean` maps derive from the grid shape).
+#[derive(Debug)]
+pub(crate) struct WmaState {
+    weights: Vec<f64>,
+    intervals: u64,
+    empty_mask_fallbacks: u64,
+}
+
+impl greengpu_policy::LearnerState for WmaState {
+    fn snapshot(&self) -> greengpu_sim::JsonValue {
+        use greengpu_sim::JsonValue;
+        JsonValue::Obj(vec![
+            ("weights".to_string(), JsonValue::f64_array(&self.weights)),
+            ("intervals".to_string(), JsonValue::u64(self.intervals)),
+            (
+                "empty_mask_fallbacks".to_string(),
+                JsonValue::u64(self.empty_mask_fallbacks),
+            ),
+        ])
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 }
 

@@ -318,15 +318,41 @@ impl PhaseDetector {
     /// restored detector classifies identically but reports fresh
     /// counts.
     pub fn snapshot(&self) -> JsonValue {
-        let flat = |pts: &[(f64, f64)]| -> Vec<f64> { pts.iter().flat_map(|&(a, b)| [a, b]).collect() };
-        JsonValue::Obj(vec![
-            ("buf".to_string(), JsonValue::f64_array(&flat(&self.buf))),
-            ("filled".to_string(), JsonValue::usize(self.filled)),
-            ("pos".to_string(), JsonValue::usize(self.pos)),
-            ("centroids".to_string(), JsonValue::f64_array(&flat(&self.centroids))),
-            ("current".to_string(), JsonValue::usize(self.current)),
-            ("dwell".to_string(), JsonValue::usize(self.dwell)),
-        ])
+        self.state().snapshot()
+    }
+
+    /// A typed copy of the state [`PhaseDetector::snapshot`] serializes.
+    pub fn state(&self) -> DetectorState {
+        DetectorState {
+            buf: self.buf.clone(),
+            filled: self.filled,
+            pos: self.pos,
+            centroids: self.centroids.clone(),
+            current: self.current,
+            dwell: self.dwell,
+        }
+    }
+
+    /// Restores a state captured by [`PhaseDetector::state`] on a
+    /// detector with the same parameters. A state whose window or library
+    /// does not fit this detector is rejected before anything mutates.
+    pub fn set_state(&mut self, state: &DetectorState) -> Result<(), String> {
+        if state.buf.len() != self.buf.len() || state.centroids.len() > self.params.max_phases {
+            return Err(format!(
+                "detector state (window {}, {} phases) does not fit window {}, max_phases {}",
+                state.buf.len(),
+                state.centroids.len(),
+                self.buf.len(),
+                self.params.max_phases
+            ));
+        }
+        self.buf.clone_from(&state.buf);
+        self.centroids.clone_from(&state.centroids);
+        self.filled = state.filled;
+        self.pos = state.pos;
+        self.current = state.current;
+        self.dwell = state.dwell;
+        Ok(())
     }
 
     /// Restores a [`PhaseDetector::snapshot`]. Validates fully before
@@ -362,6 +388,33 @@ impl PhaseDetector {
         self.current = current;
         self.dwell = dwell;
         Ok(())
+    }
+}
+
+/// The decision-relevant state of a [`PhaseDetector`] (its counters
+/// excluded), held typed: what [`PhaseDetector::snapshot`] serializes.
+#[derive(Debug)]
+pub struct DetectorState {
+    buf: Vec<(f64, f64)>,
+    filled: usize,
+    pos: usize,
+    centroids: Vec<(f64, f64)>,
+    current: usize,
+    dwell: usize,
+}
+
+impl DetectorState {
+    /// The JSON wire form of this state.
+    pub fn snapshot(&self) -> JsonValue {
+        let flat = |pts: &[(f64, f64)]| -> Vec<f64> { pts.iter().flat_map(|&(a, b)| [a, b]).collect() };
+        JsonValue::Obj(vec![
+            ("buf".to_string(), JsonValue::f64_array(&flat(&self.buf))),
+            ("filled".to_string(), JsonValue::usize(self.filled)),
+            ("pos".to_string(), JsonValue::usize(self.pos)),
+            ("centroids".to_string(), JsonValue::f64_array(&flat(&self.centroids))),
+            ("current".to_string(), JsonValue::usize(self.current)),
+            ("dwell".to_string(), JsonValue::usize(self.dwell)),
+        ])
     }
 }
 

@@ -32,7 +32,7 @@
 
 use crate::loss::{LossModel, LossParams};
 use crate::telemetry::{DecisionTracker, PolicyTelemetry};
-use crate::{hold_masked, snap, FreqPolicy};
+use crate::{hold_masked, snap, FreqPolicy, LearnerState};
 use greengpu_sim::{JsonValue, Pcg32};
 
 /// Switching-cost shaping shared by both bandits.
@@ -280,16 +280,6 @@ impl FreqPolicy for Exp3Policy {
         self.tracker.reset();
     }
 
-    fn snapshot(&self) -> JsonValue {
-        let (rng_state, rng_inc) = self.rng.state();
-        JsonValue::Obj(vec![
-            ("weights".to_string(), JsonValue::f64_array(&self.weights)),
-            ("rng_state".to_string(), JsonValue::u64(rng_state)),
-            ("rng_inc".to_string(), JsonValue::u64(rng_inc)),
-            ("current".to_string(), snap::pair(self.current)),
-        ])
-    }
-
     fn restore(&mut self, state: &JsonValue) -> Result<(), String> {
         let weights = snap::parse_f64_vec(snap::field(state, "weights")?, "weights", self.weights.len())?;
         if weights.iter().any(|&w| w < 0.0) {
@@ -302,6 +292,53 @@ impl FreqPolicy for Exp3Policy {
         self.rng = Pcg32::from_state(rng_state, rng_inc);
         self.current = current;
         Ok(())
+    }
+
+    fn learner(&self) -> Box<dyn LearnerState> {
+        Box::new(Exp3State {
+            weights: self.weights.clone(),
+            rng: self.rng.clone(),
+            current: self.current,
+        })
+    }
+
+    fn load_learner(&mut self, state: &dyn LearnerState) -> Result<(), String> {
+        let s = state.downcast::<Exp3State>()?;
+        if s.weights.len() != self.weights.len() {
+            return Err(format!(
+                "learner state has {} weights, policy has {}",
+                s.weights.len(),
+                self.weights.len()
+            ));
+        }
+        self.weights.clone_from(&s.weights);
+        self.rng = s.rng.clone();
+        self.current = s.current;
+        Ok(())
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// The warm state of an [`Exp3Policy`]: the weight table, the RNG
+/// stream position and the incumbent pair.
+struct Exp3State {
+    weights: Vec<f64>,
+    rng: Pcg32,
+    current: Option<(usize, usize)>,
+}
+
+impl LearnerState for Exp3State {
+    fn snapshot(&self) -> JsonValue {
+        let (rng_state, rng_inc) = self.rng.state();
+        JsonValue::Obj(vec![
+            ("weights".to_string(), JsonValue::f64_array(&self.weights)),
+            ("rng_state".to_string(), JsonValue::u64(rng_state)),
+            ("rng_inc".to_string(), JsonValue::u64(rng_inc)),
+            ("current".to_string(), snap::pair(self.current)),
+        ])
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -500,15 +537,6 @@ impl FreqPolicy for UcbPolicy {
         self.tracker.reset();
     }
 
-    fn snapshot(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("counts".to_string(), JsonValue::u64_array(&self.counts)),
-            ("mean_loss".to_string(), JsonValue::f64_array(&self.mean_loss)),
-            ("t".to_string(), JsonValue::u64(self.t)),
-            ("current".to_string(), snap::pair(self.current)),
-        ])
-    }
-
     fn restore(&mut self, state: &JsonValue) -> Result<(), String> {
         let counts = snap::parse_u64_vec(snap::field(state, "counts")?, "counts", self.counts.len())?;
         let mean_loss = snap::parse_f64_vec(snap::field(state, "mean_loss")?, "mean_loss", self.mean_loss.len())?;
@@ -522,6 +550,55 @@ impl FreqPolicy for UcbPolicy {
         self.t = t;
         self.current = current;
         Ok(())
+    }
+
+    fn learner(&self) -> Box<dyn LearnerState> {
+        Box::new(UcbState {
+            counts: self.counts.clone(),
+            mean_loss: self.mean_loss.clone(),
+            t: self.t,
+            current: self.current,
+        })
+    }
+
+    fn load_learner(&mut self, state: &dyn LearnerState) -> Result<(), String> {
+        let s = state.downcast::<UcbState>()?;
+        if s.counts.len() != self.counts.len() {
+            return Err(format!(
+                "learner state has {} arms, policy has {}",
+                s.counts.len(),
+                self.counts.len()
+            ));
+        }
+        self.counts.clone_from(&s.counts);
+        self.mean_loss.clone_from(&s.mean_loss);
+        self.t = s.t;
+        self.current = s.current;
+        Ok(())
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// The warm state of a [`UcbPolicy`]: per-arm pull counts and mean
+/// losses, the step counter and the incumbent pair.
+struct UcbState {
+    counts: Vec<u64>,
+    mean_loss: Vec<f64>,
+    t: u64,
+    current: Option<(usize, usize)>,
+}
+
+impl LearnerState for UcbState {
+    fn snapshot(&self) -> JsonValue {
+        JsonValue::Obj(vec![
+            ("counts".to_string(), JsonValue::u64_array(&self.counts)),
+            ("mean_loss".to_string(), JsonValue::f64_array(&self.mean_loss)),
+            ("t".to_string(), JsonValue::u64(self.t)),
+            ("current".to_string(), snap::pair(self.current)),
+        ])
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -26,8 +26,8 @@
 use crate::bandit::{dist_norm, SwitchingParams};
 use crate::loss::{LossModel, LossParams};
 use crate::telemetry::{DecisionTracker, PolicyTelemetry};
-use crate::{hold_masked, snap, FreqPolicy};
-use greengpu_phase::{PhaseDetector, PhaseDetectorParams};
+use crate::{hold_masked, snap, FreqPolicy, LearnerState};
+use greengpu_phase::{DetectorState, PhaseDetector, PhaseDetectorParams};
 use greengpu_sim::JsonValue;
 
 /// One inner policy per detected phase, with shared switching-penalty
@@ -232,17 +232,6 @@ impl<P: FreqPolicy + Clone + 'static> FreqPolicy for Contextual<P> {
         self.tracker.reset();
     }
 
-    fn snapshot(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("detector".to_string(), self.detector.snapshot()),
-            (
-                "inners".to_string(),
-                JsonValue::Arr(self.inners.iter().map(|p| p.snapshot()).collect()),
-            ),
-            ("current".to_string(), snap::pair(self.current)),
-        ])
-    }
-
     fn restore(&mut self, state: &JsonValue) -> Result<(), String> {
         // Validate every layer against clones before mutating anything:
         // a failed restore leaves the whole wrapper untouched.
@@ -269,6 +258,64 @@ impl<P: FreqPolicy + Clone + 'static> FreqPolicy for Contextual<P> {
         self.inners = inners;
         self.current = current;
         Ok(())
+    }
+
+    fn learner(&self) -> Box<dyn LearnerState> {
+        Box::new(ContextualState {
+            detector: self.detector.state(),
+            inners: self.inners.iter().map(|p| p.learner()).collect(),
+            current: self.current,
+        })
+    }
+
+    fn load_learner(&mut self, state: &dyn LearnerState) -> Result<(), String> {
+        let s = state.downcast::<ContextualState>()?;
+        if s.inners.len() != self.inners.len() {
+            return Err(format!(
+                "learner state has {} inners, policy has {}",
+                s.inners.len(),
+                self.inners.len()
+            ));
+        }
+        // Load into clones so a rejected layer leaves the wrapper
+        // untouched, as `restore` does.
+        let mut detector = self.detector.clone();
+        detector.set_state(&s.detector)?;
+        let mut inners = self.inners.clone();
+        for (k, (inner, state)) in inners.iter_mut().zip(&s.inners).enumerate() {
+            inner
+                .load_learner(state.as_ref())
+                .map_err(|e| format!("inner {k}: {e}"))?;
+        }
+        self.detector = detector;
+        self.inners = inners;
+        self.current = s.current;
+        Ok(())
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// The warm state of a [`Contextual`] wrapper: the detector's state,
+/// one learner state per inner policy, and the globally enforced pair.
+struct ContextualState {
+    detector: DetectorState,
+    inners: Vec<Box<dyn LearnerState>>,
+    current: Option<(usize, usize)>,
+}
+
+impl LearnerState for ContextualState {
+    fn snapshot(&self) -> JsonValue {
+        JsonValue::Obj(vec![
+            ("detector".to_string(), self.detector.snapshot()),
+            (
+                "inners".to_string(),
+                JsonValue::Arr(self.inners.iter().map(|p| p.snapshot()).collect()),
+            ),
+            ("current".to_string(), snap::pair(self.current)),
+        ])
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

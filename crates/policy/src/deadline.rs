@@ -17,7 +17,7 @@
 
 use crate::loss::{LossModel, LossParams};
 use crate::telemetry::{DecisionTracker, PolicyTelemetry};
-use crate::{hold_masked, snap, FreqPolicy};
+use crate::{hold_masked, snap, FreqPolicy, LearnerState};
 use greengpu_hw::gpu::GpuSpec;
 use greengpu_hw::perf::{gpu_timing, WorkUnits};
 use greengpu_sim::JsonValue;
@@ -162,6 +162,27 @@ impl DeadlineParams {
     }
 }
 
+/// The warm state of a [`DeadlinePolicy`]. The selection is a pure
+/// function of the (static) model, so the incumbent pair plus the miss
+/// counter is the whole of it.
+struct DeadlineState {
+    current: Option<(usize, usize)>,
+    deadline_misses: u64,
+}
+
+impl LearnerState for DeadlineState {
+    fn snapshot(&self) -> JsonValue {
+        JsonValue::Obj(vec![
+            ("current".to_string(), snap::pair(self.current)),
+            ("deadline_misses".to_string(), JsonValue::u64(self.deadline_misses)),
+        ])
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
 /// Energy-minimizing pair selection under a time budget.
 #[derive(Debug, Clone)]
 pub struct DeadlinePolicy {
@@ -297,21 +318,26 @@ impl FreqPolicy for DeadlinePolicy {
         self.tracker.reset();
     }
 
-    fn snapshot(&self) -> JsonValue {
-        // The selection is a pure function of the (static) model, so the
-        // incumbent pair plus the miss counter is the whole warm state.
-        JsonValue::Obj(vec![
-            ("current".to_string(), snap::pair(self.current)),
-            ("deadline_misses".to_string(), JsonValue::u64(self.deadline_misses)),
-        ])
-    }
-
     fn restore(&mut self, state: &JsonValue) -> Result<(), String> {
         let (n_core, n_mem) = self.model.shape();
         let current = snap::parse_pair(snap::field(state, "current")?, "current", n_core, n_mem)?;
         let misses = snap::parse_u64(state, "deadline_misses")?;
         self.current = current;
         self.deadline_misses = misses;
+        Ok(())
+    }
+
+    fn learner(&self) -> Box<dyn LearnerState> {
+        Box::new(DeadlineState {
+            current: self.current,
+            deadline_misses: self.deadline_misses,
+        })
+    }
+
+    fn load_learner(&mut self, state: &dyn LearnerState) -> Result<(), String> {
+        let s = state.downcast::<DeadlineState>()?;
+        self.current = s.current;
+        self.deadline_misses = s.deadline_misses;
         Ok(())
     }
 

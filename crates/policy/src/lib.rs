@@ -89,11 +89,11 @@ pub trait FreqPolicy: Send {
     fn reset(&mut self);
 
     /// Serializes the learner's warm state (weights, counts, RNG
-    /// position, current pair) for checkpointing. Telemetry is *not*
-    /// included — a restored policy reports fresh counters. The default
-    /// (for stateless or test policies) is an empty object.
+    /// position, current pair) for checkpointing: the JSON form of
+    /// [`FreqPolicy::learner`]. Telemetry is *not* included — a restored
+    /// policy reports fresh counters.
     fn snapshot(&self) -> JsonValue {
-        JsonValue::Obj(Vec::new())
+        self.learner().snapshot()
     }
 
     /// Restores learner state captured by [`FreqPolicy::snapshot`].
@@ -105,6 +105,16 @@ pub trait FreqPolicy: Send {
         let _ = state;
         Ok(())
     }
+
+    /// Copies the learner's warm state — weights, counts, RNG position,
+    /// current pair; telemetry excluded — into a typed value, for
+    /// checkpoints kept in memory.
+    fn learner(&self) -> Box<dyn LearnerState>;
+
+    /// Restores a state captured by [`FreqPolicy::learner`] on a policy
+    /// built from the same spec. A state of another policy type or grid
+    /// shape is rejected and leaves the policy unchanged.
+    fn load_learner(&mut self, state: &dyn LearnerState) -> Result<(), String>;
 
     /// A bit-exact fingerprint of every piece of state that can influence
     /// a future [`FreqPolicy::decide`] or [`FreqPolicy::preferred`]
@@ -128,6 +138,28 @@ pub trait FreqPolicy: Send {
     /// Downcast hook (e.g. to reach the wrapped `WmaScaler` behind the
     /// adapter in the `greengpu` crate).
     fn as_any(&self) -> &dyn std::any::Any;
+}
+
+/// A typed copy of a policy's warm learner state, as returned by
+/// [`FreqPolicy::learner`]. Checkpoints hold these in memory; the JSON
+/// wire form is rendered only when a checkpoint is exported.
+pub trait LearnerState: Send + 'static {
+    /// The JSON wire form of this state: exactly what
+    /// [`FreqPolicy::snapshot`] returned on the policy it was taken from.
+    fn snapshot(&self) -> JsonValue;
+
+    /// Downcast hook for [`FreqPolicy::load_learner`].
+    fn as_any(&self) -> &dyn std::any::Any;
+}
+
+impl dyn LearnerState {
+    /// Downcasts to a policy's own state type `S`, naming `S` on a
+    /// mismatch.
+    pub fn downcast<S: LearnerState>(&self) -> Result<&S, String> {
+        self.as_any()
+            .downcast_ref()
+            .ok_or_else(|| format!("learner state is not a {}", std::any::type_name::<S>()))
+    }
 }
 
 /// Shared checkpoint (de)serialization helpers used by every

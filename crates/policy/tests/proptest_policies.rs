@@ -3,8 +3,8 @@
 //! and are deterministic under a fixed seed.
 
 use greengpu_policy::{
-    Contextual, DeadlineParams, DeadlinePolicy, Exp3Params, Exp3Policy, FreqPolicy, LossParams, PairModel,
-    PhaseDetectorParams, SwitchingParams, UcbParams, UcbPolicy,
+    Contextual, DeadlineParams, DeadlinePolicy, Exp3Params, Exp3Policy, FreqPolicy, JsonValue, LearnerState,
+    LossParams, PairModel, PhaseDetectorParams, SwitchingParams, UcbParams, UcbPolicy,
 };
 use greengpu_sim::SplitMix64;
 use proptest::prelude::*;
@@ -67,8 +67,52 @@ fn mask_from_bits(bits: u32, n_mem: usize) -> impl Fn(usize, usize) -> bool {
     move |i, j| bits & (1 << ((i * n_mem + j) % 32)) != 0
 }
 
+/// A learner state of a type no policy knows.
+struct Foreign;
+
+impl LearnerState for Foreign {
+    fn snapshot(&self) -> JsonValue {
+        JsonValue::Obj(Vec::new())
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The typed learner state carries exactly what the JSON snapshot
+    /// does: it serializes to the donor's snapshot, and a fresh policy
+    /// that loads it (built from another seed) serializes identically and
+    /// replays the donor decision-for-decision. A state of a foreign type
+    /// is rejected without touching the policy.
+    #[test]
+    fn typed_learner_state_round_trips_like_the_snapshot(
+        seed in any::<u64>(),
+        warmup in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 0..30),
+        obs in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..30),
+    ) {
+        let mut donors = all_policies(6, 6, seed);
+        let mut typed = all_policies(6, 6, seed ^ 0x5eed);
+        for (a, b) in donors.iter_mut().zip(typed.iter_mut()) {
+            for &(uc, um) in &warmup {
+                a.decide(uc, um, &|_, _| true);
+            }
+            let state = a.learner();
+            let snap = a.snapshot().to_string();
+            prop_assert_eq!(state.snapshot().to_string(), snap.clone(), "{} state renders differently", a.name());
+            let fresh = b.snapshot().to_string();
+            prop_assert!(b.load_learner(&Foreign).is_err(), "{} accepted a foreign state", a.name());
+            prop_assert_eq!(b.snapshot().to_string(), fresh, "{} rejected load mutated state", a.name());
+            b.load_learner(state.as_ref()).expect("load own state");
+            prop_assert_eq!(b.snapshot().to_string(), snap, "{} typed load not exact", a.name());
+            for &(uc, um) in &obs {
+                prop_assert_eq!(a.decide(uc, um, &|_, _| true), b.decide(uc, um, &|_, _| true), "{}", a.name());
+            }
+        }
+    }
 
     /// Contract items 1 + 2: every decision is in range, and when the
     /// feasible set is non-empty the decision satisfies the mask; an

@@ -53,11 +53,35 @@ impl StepTrace {
 
     /// The signal value at `at` (0 before the first point).
     pub fn value_at(&self, at: SimTime) -> f64 {
-        match self.points.binary_search_by(|&(t, _)| t.cmp(&at)) {
-            Ok(i) => self.points[i].1,
-            Err(0) => 0.0,
-            Err(i) => self.points[i - 1].1,
+        match self.count_at_or_before(at) {
+            0 => 0.0,
+            n => self.points[n - 1].1,
         }
+    }
+
+    /// The number of breakpoints at or before `at` — the index
+    /// `partition_point(|t| t <= at)` would return — found by galloping
+    /// back from the tail, then binary-searching inside the bracket.
+    ///
+    /// Windows are read at the live end of a trace that grows for the
+    /// whole run (a sensor poll, a meter read per control interval), so
+    /// the answer is almost always within a few points of the tail: this
+    /// costs O(log d) for a point `d` breakpoints back, where a search
+    /// from the start costs O(log P) cold cache lines on a long trace.
+    fn count_at_or_before(&self, at: SimTime) -> usize {
+        let pts = &self.points;
+        // Invariant: every point at index `hi` or later lies after `at`.
+        let mut hi = pts.len();
+        let mut step = 1;
+        while hi > 0 {
+            let probe = hi.saturating_sub(step);
+            if pts[probe].0 <= at {
+                return probe + 1 + pts[probe + 1..hi].partition_point(|&(t, _)| t <= at);
+            }
+            hi = probe;
+            step *= 2;
+        }
+        0
     }
 
     /// The most recently set value (0 if empty).
@@ -73,12 +97,11 @@ impl StepTrace {
             return 0.0;
         }
         // Segments ending at or before `from` contribute exactly nothing,
-        // so binary-search straight to the segment containing `from`
-        // instead of scanning from the start — repeated window queries on
-        // a long-lived trace stay O(log P) rather than O(P). The summed
-        // terms (and their order) are identical to a full scan, so the
-        // result is bit-for-bit unchanged.
-        let first = self.points.partition_point(|&(t, _)| t <= from).saturating_sub(1);
+        // so search straight to the segment containing `from` instead of
+        // scanning from the start. The summed terms (and their order) are
+        // identical to a full scan, so the result is bit-for-bit
+        // unchanged.
+        let first = self.count_at_or_before(from).saturating_sub(1);
         let mut acc = 0.0;
         for (i, &(t_i, v_i)) in self.points.iter().enumerate().skip(first) {
             let seg_start = t_i.max(from);

@@ -149,3 +149,69 @@ proptest! {
         prop_assert!((d.as_secs_f64() - secs).abs() <= 5e-7);
     }
 }
+
+/// Reference integral: the same per-segment terms as
+/// `StepTrace::integral`, summed in the same order, but found by a scan
+/// from the first breakpoint.
+fn scan_integral(points: &[(SimTime, f64)], from: SimTime, to: SimTime) -> f64 {
+    if to <= from || points.is_empty() {
+        return 0.0;
+    }
+    let mut acc = 0.0;
+    for (i, &(t_i, v_i)) in points.iter().enumerate() {
+        let seg_start = t_i.max(from);
+        let seg_end = points.get(i + 1).map_or(to, |&(t_next, _)| t_next.min(to));
+        if seg_end > seg_start {
+            acc += v_i * (seg_end - seg_start).as_secs_f64();
+        }
+        if t_i >= to {
+            break;
+        }
+    }
+    acc
+}
+
+/// Reference point query: the last breakpoint at or before `at`, by scan.
+fn scan_value_at(points: &[(SimTime, f64)], at: SimTime) -> f64 {
+    points.iter().rev().find(|&&(t, _)| t <= at).map_or(0.0, |&(_, v)| v)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Window queries found by the tail-anchored search equal a full
+    /// scan bit for bit: windows that start before the first point, on a
+    /// breakpoint or one microsecond either side of it, with zero length,
+    /// at the tail, and far from the tail of a long trace.
+    #[test]
+    fn step_trace_window_queries_equal_a_full_scan(
+        steps in proptest::collection::vec((1u64..50_000, 0.0..500.0f64), 1..300),
+        lens in proptest::collection::vec(0u64..3_000_000, 4..5),
+    ) {
+        let mut trace = StepTrace::new();
+        let mut t = 0u64;
+        for &(dt, v) in &steps {
+            t += dt;
+            trace.set(SimTime::from_micros(t), v);
+        }
+        let points: Vec<(SimTime, f64)> = trace.points().collect();
+        let last = points.last().map_or(0, |&(t, _)| t.as_micros());
+        let mut starts = vec![0, last + 1, last + 1_000_000];
+        for &(bp, _) in &points {
+            let us = bp.as_micros();
+            starts.extend([us.saturating_sub(1), us, us + 1]);
+        }
+        for &from_us in &starts {
+            let from = SimTime::from_micros(from_us);
+            prop_assert_eq!(trace.value_at(from).to_bits(), scan_value_at(&points, from).to_bits(), "value_at({})", from_us);
+            for &len in std::iter::once(&0).chain(&lens) {
+                let to = SimTime::from_micros(from_us + len);
+                let want = scan_integral(&points, from, to);
+                prop_assert_eq!(trace.integral(from, to).to_bits(), want.to_bits(), "integral({}, +{})", from_us, len);
+                let span = to.saturating_since(from).as_secs_f64();
+                let want_mean = if len == 0 { 0.0 } else { want / span };
+                prop_assert_eq!(trace.mean(from, to).to_bits(), want_mean.to_bits(), "mean({}, +{})", from_us, len);
+            }
+        }
+    }
+}
